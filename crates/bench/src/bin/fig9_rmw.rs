@@ -20,13 +20,13 @@
 use armci::ProgressMode;
 use bgq_bench::fig9::run;
 use bgq_bench::{
-    append_json_field, arg_jobs, arg_list, arg_str, arg_usize, arg_workers, check_args,
-    peak_rss_kb, sweep, write_text, JOBS_FLAG, TIMELINE_FLAG, TIMELINE_WINDOW_PS, WORKERS_FLAG,
+    append_json_field, arg_jobs, arg_list, arg_str, arg_usize, check_args, peak_rss_kb, sweep,
+    write_text, JOBS_FLAG, TIMELINE_FLAG, TIMELINE_WINDOW_PS,
 };
 use desim::{ChromeTrace, Stats, TimelineDoc};
 
 fn main() {
-    check_args(
+    let usage = check_args(
         "fig9_rmw",
         "Fig 9 — fetch-and-add latency vs process count (D/AT × idle/compute)",
         &[
@@ -45,7 +45,6 @@ fn main() {
             ),
             TIMELINE_FLAG,
             JOBS_FLAG,
-            WORKERS_FLAG,
         ],
     );
     let procs = arg_list(
@@ -53,8 +52,10 @@ fn main() {
         &[2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096],
     );
     let k = arg_usize("--ops", 10);
+    // Ranks 1..p are the requesters: p = 1 or k = 0 would time zero ops.
+    usage.check_range("--procs", &procs, 2, usize::MAX);
+    usage.check_range("--ops", &[k], 1, usize::MAX);
     let jobs = arg_jobs();
-    let workers = arg_workers();
     let json_path = arg_str("--json");
     let trace_path = arg_str("--trace");
     let breakdown_path = arg_str("--breakdown");
@@ -90,9 +91,7 @@ fn main() {
         let trace = (wants_trace && pi == 0).then_some((ci as u64 + 1, name));
         let breakdown = wants_breakdown && pi == 0;
         let tl = (wants_timeline && pi == 0).then_some(TIMELINE_WINDOW_PS);
-        run(
-            procs[pi], mode, compute, k, trace, breakdown, None, tl, workers,
-        )
+        run(procs[pi], mode, compute, k, trace, breakdown, None, tl)
     });
     // Timeline doc: one run per configuration, recorded at the smallest p.
     let mut timelines: Vec<(String, desim::TimelineSnapshot)> = Vec::new();

@@ -57,21 +57,6 @@ pub fn arg_jobs() -> usize {
     arg_usize("--jobs", sweep::default_jobs()).max(1)
 }
 
-/// The `--workers` CLI option shared by the parallel-engine-capable
-/// binaries. Unlike `--jobs` (independent sweep points run concurrently),
-/// `--workers` splits **one simulation** across conservative time-windowed
-/// shards; every output stays byte-identical for any value (DESIGN.md §16).
-pub const WORKERS_FLAG: FlagSpec = (
-    "--workers",
-    true,
-    "in-simulation engine shards (default 1; outputs identical)",
-);
-
-/// Parse the `--workers` option (default 1 — the untouched serial hot path).
-pub fn arg_workers() -> usize {
-    arg_usize("--workers", 1).max(1)
-}
-
 /// One CLI option specification: `(name, takes_value, help)`.
 pub type FlagSpec = (&'static str, bool, &'static str);
 
@@ -114,19 +99,48 @@ pub fn scan_args(args: &[String], flags: &[FlagSpec]) -> Result<bool, String> {
 
 /// Enforce the CLI contract shared by every bench binary: `--help`/`-h`
 /// prints the usage text and exits 0; an unknown option prints an error plus
-/// the usage text to stderr and exits 2.
-pub fn check_args(bin: &str, about: &str, flags: &[FlagSpec]) {
+/// the usage text to stderr and exits 2. The returned [`Usage`] reports
+/// later input errors (e.g. [`Usage::check_range`]) the same way.
+pub fn check_args(bin: &str, about: &str, flags: &[FlagSpec]) -> Usage {
+    let usage = Usage {
+        bin: bin.to_string(),
+        text: usage_text(bin, about, flags),
+    };
     let args: Vec<String> = std::env::args().skip(1).collect();
     match scan_args(&args, flags) {
-        Ok(false) => {}
+        Ok(false) => usage,
         Ok(true) => {
-            print!("{}", usage_text(bin, about, flags));
+            print!("{}", usage.text);
             std::process::exit(0);
         }
-        Err(tok) => {
-            eprintln!("{bin}: unknown option '{tok}'");
-            eprint!("{}", usage_text(bin, about, flags));
-            std::process::exit(2);
+        Err(tok) => usage.fail(&format!("unknown option '{tok}'")),
+    }
+}
+
+/// A bench binary's name and usage text, returned by [`check_args`].
+pub struct Usage {
+    bin: String,
+    text: String,
+}
+
+impl Usage {
+    /// Print `msg` and the usage text to stderr, then exit 2.
+    pub fn fail(&self, msg: &str) -> ! {
+        eprintln!("{}: {msg}", self.bin);
+        eprint!("{}", self.text);
+        std::process::exit(2);
+    }
+
+    /// Fail (exit 2) unless every value given for option `name` lies in
+    /// `lo..=hi`, so bad input never reaches a panic or a NaN table.
+    pub fn check_range(&self, name: &str, values: &[usize], lo: usize, hi: usize) {
+        if let Some(v) = values.iter().find(|v| !(lo..=hi).contains(*v)) {
+            let range = if hi == usize::MAX {
+                format!("minimum {lo}")
+            } else {
+                format!("{lo}..={hi}")
+            };
+            self.fail(&format!("{name} {v} is out of range ({range})"));
         }
     }
 }

@@ -1,15 +1,13 @@
 //! Synchronization primitives for simulated tasks.
 //!
 //! These consume no virtual time by themselves — they only order tasks. Time
-//! costs (lock hold times, barrier network latency, …) are modelled by the
-//! code running between acquisition and release, or by the layers above.
+//! costs (lock hold times, …) are modelled by the code running between
+//! acquisition and release, or by the layers above.
 //!
 //! * [`SimMutex`] — FIFO ticket lock with direct handoff (no barging), used to
 //!   model the PAMI progress-engine lock shared by the main thread and the
 //!   asynchronous progress thread.
-//! * [`Barrier`] — reusable generation barrier.
 //! * [`Notify`] — edge-triggered condition-variable-style wakeups.
-//! * [`Semaphore`] — counting semaphore with FIFO waiters.
 
 use std::cell::RefCell;
 use std::future::Future;
@@ -192,112 +190,6 @@ fn advance_serving(st: &mut MutexState) {
 }
 
 // ---------------------------------------------------------------------------
-// Barrier: reusable generation barrier
-// ---------------------------------------------------------------------------
-
-struct BarrierState {
-    parties: usize,
-    arrived: usize,
-    generation: u64,
-    wakers: WakerSet,
-}
-
-/// A reusable barrier for a fixed set of parties.
-pub struct Barrier {
-    state: Rc<RefCell<BarrierState>>,
-}
-
-impl Clone for Barrier {
-    fn clone(&self) -> Self {
-        Barrier {
-            state: Rc::clone(&self.state),
-        }
-    }
-}
-
-impl Barrier {
-    /// Create a barrier for `parties` tasks.
-    pub fn new(parties: usize) -> Barrier {
-        assert!(parties > 0, "barrier needs at least one party");
-        Barrier {
-            state: Rc::new(RefCell::new(BarrierState {
-                parties,
-                arrived: 0,
-                generation: 0,
-                wakers: WakerSet::new(),
-            })),
-        }
-    }
-
-    /// Wait until all parties arrive. Resolves to `true` for the last
-    /// arriving party (the "leader"), `false` otherwise.
-    pub fn wait(&self) -> BarrierWait {
-        BarrierWait {
-            state: Rc::clone(&self.state),
-            generation: None,
-            slot: None,
-        }
-    }
-
-    /// Number of parties the barrier was created with.
-    pub fn parties(&self) -> usize {
-        self.state.borrow().parties
-    }
-}
-
-/// Future returned by [`Barrier::wait`].
-pub struct BarrierWait {
-    state: Rc<RefCell<BarrierState>>,
-    generation: Option<(u64, bool)>,
-    slot: Option<u64>,
-}
-
-impl Drop for BarrierWait {
-    fn drop(&mut self) {
-        self.state.borrow_mut().wakers.remove(&self.slot);
-    }
-}
-
-impl Future for BarrierWait {
-    type Output = bool;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<bool> {
-        let this = self.get_mut();
-        match this.generation {
-            None => {
-                let mut st = this.state.borrow_mut();
-                let gen = st.generation;
-                st.arrived += 1;
-                if st.arrived == st.parties {
-                    st.arrived = 0;
-                    st.generation += 1;
-                    let wakers = st.wakers.take_all();
-                    drop(st);
-                    for w in wakers {
-                        w.wake();
-                    }
-                    this.generation = Some((gen, true));
-                    Poll::Ready(true)
-                } else {
-                    this.generation = Some((gen, false));
-                    st.wakers.register(&mut this.slot, cx.waker());
-                    Poll::Pending
-                }
-            }
-            Some((gen, leader)) => {
-                let mut st = this.state.borrow_mut();
-                if st.generation != gen {
-                    st.wakers.remove(&this.slot);
-                    Poll::Ready(leader)
-                } else {
-                    st.wakers.register(&mut this.slot, cx.waker());
-                    Poll::Pending
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Notify: condition-variable-style wakeups
 // ---------------------------------------------------------------------------
 
@@ -389,148 +281,6 @@ impl Drop for NotifyWait {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Semaphore
-// ---------------------------------------------------------------------------
-
-struct SemState {
-    permits: usize,
-    waiters: Vec<(u64, usize, Waker)>, // (ticket, wanted, waker) in FIFO order
-    next_ticket: u64,
-}
-
-/// Counting semaphore with FIFO waiters (no overtaking), useful for modelling
-/// bounded request windows and flow control.
-pub struct Semaphore {
-    state: Rc<RefCell<SemState>>,
-}
-
-impl Clone for Semaphore {
-    fn clone(&self) -> Self {
-        Semaphore {
-            state: Rc::clone(&self.state),
-        }
-    }
-}
-
-impl Semaphore {
-    /// Create a semaphore holding `permits` permits.
-    pub fn new(permits: usize) -> Semaphore {
-        Semaphore {
-            state: Rc::new(RefCell::new(SemState {
-                permits,
-                waiters: Vec::new(),
-                next_ticket: 0,
-            })),
-        }
-    }
-
-    /// Acquire `n` permits, waiting FIFO if necessary.
-    pub fn acquire(&self, n: usize) -> SemAcquire {
-        SemAcquire {
-            state: Rc::clone(&self.state),
-            n,
-            ticket: None,
-        }
-    }
-
-    /// Return `n` permits, waking eligible waiters in order.
-    pub fn release(&self, n: usize) {
-        let wakers = {
-            let mut st = self.state.borrow_mut();
-            st.permits += n;
-            // Wake the longest-waiting requester whose demand now fits; it
-            // will consume permits at poll time. Only the head may proceed
-            // (FIFO, no overtaking).
-            st.waiters
-                .first()
-                .filter(|(_, wanted, _)| *wanted <= st.permits)
-                .map(|(_, _, w)| w.clone())
-        };
-        if let Some(w) = wakers {
-            w.wake();
-        }
-    }
-
-    /// Permits currently available.
-    pub fn available(&self) -> usize {
-        self.state.borrow().permits
-    }
-}
-
-/// Future returned by [`Semaphore::acquire`].
-pub struct SemAcquire {
-    state: Rc<RefCell<SemState>>,
-    n: usize,
-    ticket: Option<u64>,
-}
-
-impl Future for SemAcquire {
-    type Output = ();
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let this = self.get_mut();
-        let mut st = this.state.borrow_mut();
-        let ticket = match this.ticket {
-            Some(t) => t,
-            None => {
-                let t = st.next_ticket;
-                st.next_ticket += 1;
-                this.ticket = Some(t);
-                t
-            }
-        };
-        // FIFO: may only take permits if no earlier requester is still waiting.
-        let earlier_waiting = st.waiters.iter().any(|(t, _, _)| *t < ticket);
-        if !earlier_waiting && st.permits >= this.n {
-            st.permits -= this.n;
-            st.waiters.retain(|(t, _, _)| *t != ticket);
-            // Chain: the new head may also be satisfiable now.
-            let next = st
-                .waiters
-                .first()
-                .filter(|(_, wanted, _)| *wanted <= st.permits)
-                .map(|(_, _, w)| w.clone());
-            drop(st);
-            if let Some(w) = next {
-                w.wake();
-            }
-            Poll::Ready(())
-        } else {
-            match st.waiters.iter_mut().find(|(t, _, _)| *t == ticket) {
-                Some(slot) => slot.2 = cx.waker().clone(),
-                None => {
-                    st.waiters.push((ticket, this.n, cx.waker().clone()));
-                    st.waiters.sort_by_key(|(t, _, _)| *t);
-                }
-            }
-            Poll::Pending
-        }
-    }
-}
-
-impl Drop for SemAcquire {
-    fn drop(&mut self) {
-        if let Some(ticket) = self.ticket {
-            let next = {
-                let mut st = self.state.borrow_mut();
-                let before = st.waiters.len();
-                st.waiters.retain(|(t, _, _)| *t != ticket);
-                if st.waiters.len() != before {
-                    st.waiters
-                        .first()
-                        .filter(|(_, wanted, _)| *wanted <= st.permits)
-                        .map(|(_, _, w)| w.clone())
-                } else {
-                    None
-                }
-            };
-            if let Some(w) = next {
-                w.wake();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,51 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_releases_all_and_reports_leader() {
-        let sim = Sim::new();
-        let b = Barrier::new(3);
-        let leaders: Rc<StdRefCell<Vec<bool>>> = Rc::new(StdRefCell::new(Vec::new()));
-        for i in 0..3u64 {
-            let b = b.clone();
-            let s = sim.clone();
-            let leaders = Rc::clone(&leaders);
-            sim.spawn(async move {
-                s.sleep(SimDuration::from_us(i)).await;
-                let leader = b.wait().await;
-                leaders.borrow_mut().push(leader);
-                assert_eq!(s.now().as_us(), 2.0); // all released at last arrival
-            });
-        }
-        sim.run();
-        assert_eq!(leaders.borrow().iter().filter(|&&l| l).count(), 1);
-        assert_eq!(leaders.borrow().len(), 3);
-    }
-
-    #[test]
-    fn barrier_is_reusable() {
-        let sim = Sim::new();
-        let b = Barrier::new(2);
-        let mut handles = Vec::new();
-        for i in 0..2u64 {
-            let b = b.clone();
-            let s = sim.clone();
-            handles.push(sim.spawn(async move {
-                for round in 0..3u64 {
-                    s.sleep(SimDuration::from_us(i + 1)).await;
-                    b.wait().await;
-                    let _ = round;
-                }
-                s.now()
-            }));
-        }
-        sim.run();
-        // Each round gated by the slower party (2us): 3 rounds -> 6us.
-        for h in handles {
-            assert_eq!(h.try_result().unwrap().as_us(), 6.0);
-        }
-    }
-
-    #[test]
     fn notify_wakes_waiters() {
         let sim = Sim::new();
         let n = Notify::new();
@@ -679,73 +384,5 @@ mod tests {
         });
         sim.run();
         assert_eq!(h.try_result(), Some(true));
-    }
-
-    #[test]
-    fn semaphore_limits_concurrency() {
-        let sim = Sim::new();
-        let sem = Semaphore::new(2);
-        let active: Rc<StdRefCell<(usize, usize)>> = Rc::new(StdRefCell::new((0, 0))); // (current, max)
-        for _ in 0..6 {
-            let sem = sem.clone();
-            let s = sim.clone();
-            let active = Rc::clone(&active);
-            sim.spawn(async move {
-                sem.acquire(1).await;
-                {
-                    let mut a = active.borrow_mut();
-                    a.0 += 1;
-                    a.1 = a.1.max(a.0);
-                }
-                s.sleep(SimDuration::from_us(5)).await;
-                active.borrow_mut().0 -= 1;
-                sem.release(1);
-            });
-        }
-        let end = sim.run();
-        assert_eq!(active.borrow().1, 2);
-        assert_eq!(end.as_us(), 15.0); // 6 tasks / 2 wide * 5us
-    }
-
-    #[test]
-    fn semaphore_fifo_large_request_not_starved() {
-        let sim = Sim::new();
-        let sem = Semaphore::new(2);
-        let order: Rc<StdRefCell<Vec<&'static str>>> = Rc::new(StdRefCell::new(Vec::new()));
-        {
-            let sem = sem.clone();
-            let s = sim.clone();
-            let order = Rc::clone(&order);
-            sim.spawn(async move {
-                sem.acquire(2).await;
-                order.borrow_mut().push("big0");
-                s.sleep(SimDuration::from_us(5)).await;
-                sem.release(2);
-            });
-        }
-        {
-            let sem = sem.clone();
-            let s = sim.clone();
-            let order = Rc::clone(&order);
-            sim.spawn(async move {
-                s.sleep(SimDuration::from_us(1)).await;
-                sem.acquire(2).await; // queued first
-                order.borrow_mut().push("big1");
-                sem.release(2);
-            });
-        }
-        {
-            let sem = sem.clone();
-            let s = sim.clone();
-            let order = Rc::clone(&order);
-            sim.spawn(async move {
-                s.sleep(SimDuration::from_us(2)).await;
-                sem.acquire(1).await; // arrives later; must not overtake big1
-                order.borrow_mut().push("small");
-                sem.release(1);
-            });
-        }
-        sim.run();
-        assert_eq!(&*order.borrow(), &["big0", "big1", "small"]);
     }
 }

@@ -7,7 +7,7 @@
 //! loop stuck at one virtual instant. These tests pin the fix.
 
 use desim::futures::race;
-use desim::sync::{Barrier, Notify, SimMutex};
+use desim::sync::{Notify, SimMutex};
 use desim::{Completion, Sim, SimDuration};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -154,21 +154,9 @@ fn dropped_mutex_waiter_does_not_deadlock() {
 }
 
 #[test]
-fn dropped_barrier_and_channel_waiters_clean_up() {
+fn dropped_channel_waiters_clean_up() {
     let sim = Sim::new();
-    // Barrier: a waiter that gives up must not satisfy the barrier.
-    let b = Barrier::new(2);
     let fired = Rc::new(Cell::new(false));
-    {
-        let b = b.clone();
-        let s = sim.clone();
-        sim.spawn(async move {
-            match race(b.wait(), s.sleep(SimDuration::from_us(1))).await {
-                desim::Either::Left(_) => panic!("barrier cannot complete alone"),
-                desim::Either::Right(()) => {}
-            }
-        });
-    }
     // Channel: dropped Recv must hand queued messages to the next receiver.
     let (tx, rx) = desim::channel::channel::<u32>();
     {

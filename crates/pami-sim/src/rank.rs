@@ -67,7 +67,7 @@ pub(crate) fn deliver_then(
             .borrow_mut()
             .deliver_op(inject, src, dst, payload, class, op)
             + extra;
-        m.schedule_leg(src, dst, arrival, move || then(arrival, true));
+        sim.schedule(arrival, move || then(arrival, true));
         return;
     }
     let stats = m.stats();
@@ -137,7 +137,7 @@ pub(crate) fn deliver_then(
 
 /// The landing half of a software-path message: enqueue `item` on the
 /// target's designated context at `arrival`. Must run *as* the landing event
-/// (callers schedule it through `schedule_leg`, or invoke it directly from a
+/// (callers schedule it with `Sim::schedule`, or invoke it directly from a
 /// `deliver_then` continuation, which already is one). Spawns the target's
 /// asynchronous progress thread lazily, before the push, so the freshly
 /// enqueued thread polls ahead of anyone the push's notify wakes — the same
@@ -526,7 +526,7 @@ impl PamiRank {
         };
         let remote_done = handles.remote.clone();
         let tgt_state = self.m.rank_state(target);
-        self.m.schedule_leg(self.r, target, arrival, move || {
+        sim.schedule(arrival, move || {
             if delivered {
                 tgt_state.write(remote_off, &data);
             }
@@ -569,7 +569,7 @@ impl PamiRank {
             return done;
         }
         let m = self.m.clone();
-        self.m.schedule_leg(self.r, target, req_arrival, move || {
+        sim.schedule(req_arrival, move || {
             let data = m.rank_state(target).read(remote_off, len);
             let src_state = m.rank_state(src);
             let extra = p.align_penalty(len);
@@ -606,7 +606,7 @@ impl PamiRank {
         op: Option<OpId>,
     ) {
         let m = self.m.clone();
-        self.m.schedule_leg(self.r, target, arrival, move || {
+        self.m.inner.sim.schedule(arrival, move || {
             enqueue_at_target(&m, target, arrival, item, op);
         });
     }

@@ -26,7 +26,6 @@ pub mod cost;
 pub mod fxmap;
 pub mod mapping;
 pub mod net;
-pub mod par;
 pub mod route_table;
 pub mod routing;
 pub mod shape;
@@ -35,7 +34,6 @@ pub use coords::Coord;
 pub use cost::BgqParams;
 pub use mapping::Mapping;
 pub use net::{Delivery, FaultCounters, MsgClass, NetState};
-pub use par::{deliver_batch, deliver_batch_arrivals, BatchOut, NetMsg};
 pub use route_table::{LinkId, RouteTable};
 pub use routing::Link;
 pub use shape::TorusShape;

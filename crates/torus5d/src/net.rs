@@ -133,29 +133,29 @@ struct Faults {
 
 /// Mutable interconnect state: per-pair FIFO fronts and per-link busy times.
 pub struct NetState {
-    pub(crate) topo: Topology,
-    pub(crate) params: BgqParams,
-    pub(crate) contention: bool,
+    topo: Topology,
+    params: BgqParams,
+    contention: bool,
     /// Interned links, cached routes and the rank→(coord, node) table.
-    pub(crate) rt: RouteTable,
+    rt: RouteTable,
     /// Pair-ordering front per `(src << 32) | dst` rank pair.
-    pub(crate) pair_last: FxMap64<SimTime>,
+    pair_last: FxMap64<SimTime>,
     /// Busy-until reservation per directed link, indexed by [`LinkId`].
-    pub(crate) link_busy: Vec<SimTime>,
+    link_busy: Vec<SimTime>,
     /// Per-rank NIC injection FIFO front, keyed by sending rank: data
     /// payloads from one rank serialize onto the wire, bounding any stream
     /// at link bandwidth. Sparse so idle ranks cost zero bytes.
-    pub(crate) tx_busy: FxMap64<SimTime>,
+    tx_busy: FxMap64<SimTime>,
     /// Accumulated occupancy (header + serialization) per directed link, for
     /// utilization heatmaps. Filled by the contended path always, and by the
     /// analytic path when [`NetState::set_link_tracking`] is on.
-    pub(crate) link_util: Vec<SimDuration>,
+    link_util: Vec<SimDuration>,
     /// Which links have been touched (a touch with a zero-duration increment
     /// still counts, matching the old map-entry semantics).
-    pub(crate) link_touched: Vec<bool>,
-    pub(crate) track_links: bool,
-    pub(crate) messages: u64,
-    pub(crate) bytes: u64,
+    link_touched: Vec<bool>,
+    track_links: bool,
+    messages: u64,
+    bytes: u64,
     /// Lifecycle recorder for per-operation attribution (disabled by
     /// default; shared with the owning `Sim` via [`NetState::set_flight`]).
     flight: FlightRecorder,
@@ -268,19 +268,6 @@ impl NetState {
     /// True when a fault plan has been installed (empty or not).
     pub fn faults_installed(&self) -> bool {
         self.faults.is_some()
-    }
-
-    /// True when the flight recorder attached to this network is recording —
-    /// one of the per-delivery observers that pins [`crate::par`] batches to
-    /// the serial path (lifecycle segments are emitted in delivery order).
-    pub(crate) fn flight_on(&self) -> bool {
-        self.flight.on()
-    }
-
-    /// True when an enabled timeline is attached (see [`NetState::flight_on`]
-    /// — same role for the windowed-telemetry observer).
-    pub(crate) fn timeline_attached(&self) -> bool {
-        self.tl.is_some()
     }
 
     /// Attach a tracer so fault transitions emit instants on a
