@@ -16,7 +16,7 @@ use bgq_bench::{
 use nwchem_scf::{run_scf_timeline, ScfConfig};
 
 fn main() {
-    check_args(
+    let usage = check_args(
         "fig11_nwchem_scf",
         "Fig 11 — NWChem SCF mini-app, Default vs AsyncThread progress",
         &[
@@ -42,6 +42,7 @@ fn main() {
             &[1024, 2048, 4096]
         },
     );
+    usage.check_range("--procs", &procs, 1, usize::MAX);
     let iters = arg_usize("--iters", if quick { 2 } else { 3 });
     let jobs = arg_jobs();
     let breakdown_path = arg_str("--breakdown");

@@ -10,7 +10,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 fn main() {
-    check_args(
+    let usage = check_args(
         "fig7_rank_latency",
         "Fig 7 — get latency vs process rank under ABCDET",
         &[
@@ -27,6 +27,9 @@ fn main() {
     let p = arg_usize("--procs", 2048);
     let c = arg_usize("--ppn", 16);
     let reps = arg_usize("--reps", 3);
+    // The inter-node statistics need rank 0's node plus at least one more.
+    usage.check_range("--ppn", &[c], 1, usize::MAX);
+    usage.check_range("--procs", &[p], c + 1, usize::MAX);
     let bytes = 16usize;
     let f = Fixture::new(p, c, ArmciConfig::default());
     let topo = f.armci.machine().topology().clone();

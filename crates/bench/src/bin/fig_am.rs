@@ -21,7 +21,7 @@ use bgq_bench::{
 };
 
 fn main() {
-    check_args(
+    let usage = check_args(
         "fig_am",
         "active-message throughput with and without aggregation",
         &[
@@ -41,6 +41,8 @@ fn main() {
     );
     let procs = arg_usize("--procs", 64);
     let msgs = arg_usize("--msgs", 128);
+    // Fan-out destinations are strided by 16 ranks.
+    usage.check_range("--procs", &[procs], 17, usize::MAX);
     let sizes = arg_list("--sizes", &[8, 64, 512]);
     let windows = arg_list("--windows", &[0, 1, 4]);
     let fanouts = arg_list("--fanout", &[1, 4]);

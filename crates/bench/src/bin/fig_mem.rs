@@ -27,7 +27,7 @@ use desim::TimelineDoc;
 static ALLOC: memprof::MemProf = memprof::MemProf;
 
 fn main() {
-    check_args(
+    let usage = check_args(
         "fig_mem",
         "memory scaling of the communication subsystem vs process count",
         &[
@@ -49,6 +49,7 @@ fn main() {
         ],
     );
     let mut procs = arg_list("--procs", &DEFAULT_PROCS);
+    usage.check_range("--procs", &procs, 1, usize::MAX);
     procs.sort_unstable();
     procs.dedup();
     let ops = arg_usize("--ops", DEFAULT_OPS);

@@ -30,7 +30,7 @@ use desim::memprof;
 static ALLOC: memprof::MemProf = memprof::MemProf;
 
 fn main() {
-    check_args(
+    let usage = check_args(
         "fig_scale",
         "memory and throughput scaling of lazily materialized rank state to p=1M",
         &[
@@ -63,6 +63,7 @@ fn main() {
         ],
     );
     let mut procs = arg_list("--procs", &DEFAULT_PROCS);
+    usage.check_range("--procs", &procs, 1, usize::MAX);
     procs.sort_unstable();
     procs.dedup();
     let ops = arg_usize("--ops", DEFAULT_OPS).max(1);

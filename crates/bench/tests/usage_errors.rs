@@ -7,8 +7,19 @@ use std::process::Command;
 fn bad_input_exits_2_without_panicking() {
     let fig9 = env!("CARGO_BIN_EXE_fig9_rmw");
     let fault = env!("CARGO_BIN_EXE_fig_fault");
-    let cases: [(&str, &[&str], &str); 4] = [
+    let scale = env!("CARGO_BIN_EXE_fig_scale");
+    let fig7 = env!("CARGO_BIN_EXE_fig7_rank_latency");
+    let fig11 = env!("CARGO_BIN_EXE_fig11_nwchem_scf");
+    let mem = env!("CARGO_BIN_EXE_fig_mem");
+    let am = env!("CARGO_BIN_EXE_fig_am");
+    let cases: [(&str, &[&str], &str); 9] = [
         (fig9, &["--procs", "0"], "out of range"),
+        (scale, &["--procs", "0"], "out of range"),
+        (fig7, &["--procs", "0"], "out of range"),
+        (fig11, &["--procs", "0"], "out of range"),
+        (mem, &["--procs", "0"], "out of range"),
+        // fig_am's fan-out stride needs more than 16 ranks.
+        (am, &["--procs", "16"], "out of range"),
         (fig9, &["--ops", "0", "--procs", "2"], "out of range"),
         (fault, &["--fault-rate", "2000000"], "out of range"),
         // `--workers` is not an option of any bench binary.

@@ -46,7 +46,12 @@ pub fn wrap_delta(from: u16, to: u16, size: u16) -> i32 {
     if size <= 1 {
         return 0;
     }
-    let fwd = ((to as i32 - from as i32).rem_euclid(size as i32)) as u16; // hops going +
+    // Hops going +, without a division (both ends are in range).
+    let fwd = if to >= from {
+        to - from
+    } else {
+        to + (size - from)
+    };
     let bwd = size - fwd; // hops going - (when fwd != 0)
     if fwd == 0 {
         0

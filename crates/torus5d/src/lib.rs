@@ -16,7 +16,8 @@
 //!   paper's Table II and §IV-B microbenchmarks (35 ns/hop, 1.8 GB/s
 //!   available link bandwidth, 2.89 µs adjacent-node get, …).
 //! * [`route_table::RouteTable`] — interned dense [`route_table::LinkId`]s,
-//!   a lazily cached route arena and a precomputed rank table, so delivery
+//!   dimension-ordered routes walked on the fly by stride arithmetic, and a
+//!   live route cache used only under a fault plan, so fault-free delivery
 //!   is allocation- and hash-free on the hot path.
 //! * [`net::NetState`] — per-(src,dst) FIFO tracking for ordered delivery and
 //!   optional per-link contention (busy-until reservation).
@@ -34,7 +35,7 @@ pub use coords::Coord;
 pub use cost::BgqParams;
 pub use mapping::Mapping;
 pub use net::{Delivery, FaultCounters, MsgClass, NetState};
-pub use route_table::{LinkId, RouteTable};
+pub use route_table::{LinkId, RouteTable, RouteWalk};
 pub use routing::Link;
 pub use shape::TorusShape;
 

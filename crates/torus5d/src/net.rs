@@ -13,12 +13,14 @@
 //!   cut-through forwarding), exposing hot links under concurrent traffic.
 //!
 //! The per-message hot path is allocation-free once warm and (except for
-//! the compact pair maps) hash-free: routes come from the [`RouteTable`]
-//! arena as cached [`LinkId`] slices, per-link busy/occupancy state lives
-//! in flat `Vec`s indexed by `LinkId` (per-*link* hardware state — O(nodes),
-//! not O(ranks)), while the per-*rank* injection FIFO and the pair-ordering
-//! front live in hand-rolled FxHash maps ([`crate::fxmap::FxMap64`]) so
-//! ranks that never send cost zero bytes. Arrival-time arithmetic is
+//! the compact pair maps) hash-free: each endpoint's node is resolved once
+//! per message, the fault-free route is walked on the fly as [`LinkId`]s
+//! ([`RouteTable::walk`]; only an installed fault plan uses the live route
+//! cache), per-link busy/occupancy state lives in flat `Vec`s indexed by
+//! `LinkId` (per-*link* hardware state — O(nodes), not O(ranks)), while the
+//! per-*rank* injection FIFO and the pair-ordering front live in
+//! hand-rolled FxHash maps ([`crate::fxmap::FxMap64`]) so ranks that never
+//! send cost zero bytes. Arrival-time arithmetic is
 //! identical to the original dense implementation — simulated times are
 //! bit-for-bit unchanged (pinned by the differential tests and the
 //! `results/` goldens).
@@ -29,9 +31,10 @@ use desim::fault::{FaultEvent, FaultPlan};
 use desim::timeline::{SeriesId, SeriesKind, Timeline};
 use desim::{FlightRecorder, OpId, SegCategory, SimDuration, SimRng, SimTime, TraceValue, Tracer};
 
+use crate::coords::Coord;
 use crate::cost::BgqParams;
 use crate::fxmap::FxMap64;
-use crate::route_table::{LinkId, RouteTable};
+use crate::route_table::{LinkId, RouteTable, RouteWalk};
 use crate::routing::Link;
 use crate::Topology;
 use desim::memprof::{self, MemTag};
@@ -136,7 +139,7 @@ pub struct NetState {
     topo: Topology,
     params: BgqParams,
     contention: bool,
-    /// Interned links, cached routes and the rank→(coord, node) table.
+    /// Interned links, route walks, the live route cache and rank mapping.
     rt: RouteTable,
     /// Pair-ordering front per `(src << 32) | dst` rank pair.
     pair_last: FxMap64<SimTime>,
@@ -426,7 +429,7 @@ impl NetState {
     }
 
     /// Record per-link occupancy on the analytic (non-contended) path too.
-    /// Costs one cached-route walk per internode message, so it is opt-in.
+    /// Costs one route walk per internode message, so it is opt-in.
     pub fn set_link_tracking(&mut self, on: bool) {
         self.track_links = on;
     }
@@ -465,7 +468,7 @@ impl NetState {
         &self.topo
     }
 
-    /// The routing acceleration table (interned links, cached routes).
+    /// The routing acceleration table (interned links, route walks).
     pub fn route_table(&self) -> &RouteTable {
         &self.rt
     }
@@ -485,8 +488,8 @@ impl NetState {
         self.bytes
     }
 
-    /// Hop count between the nodes hosting two ranks (table lookup; same
-    /// value as [`Topology::hops`]).
+    /// Hop count between the nodes hosting two ranks (mapping arithmetic;
+    /// same value as [`Topology::hops`]).
     #[inline]
     pub fn hops(&self, a: usize, b: usize) -> u32 {
         self.rt.hops(a, b)
@@ -555,7 +558,8 @@ impl NetState {
         if self.faults.is_some() {
             self.advance_faults(inject);
         }
-        let same_node = self.rt.same_node(src, dst);
+        let (src_at, dst_at) = (self.rt.locate(src), self.rt.locate(dst));
+        let same_node = src_at.1 == dst_at.1;
         let wire = if same_node {
             self.params.intranode_time(payload)
         } else {
@@ -587,20 +591,21 @@ impl NetState {
             }
             head
         } else if self.contention {
-            match self.deliver_contended_head(start, src, dst, payload, op) {
+            match self.deliver_contended_head(start, src_at, dst_at, payload, op) {
                 Ok(head) => head,
                 Err(at) => return Delivery::Dropped { at },
             }
         } else if self.faults.is_some() {
-            match self.analytic_head_faulty(start, src, dst, payload, op) {
+            match self.analytic_head_faulty(start, src_at.1, dst_at.1, payload, op) {
                 Ok(head) => head,
                 Err(at) => return Delivery::Dropped { at },
             }
         } else {
             if self.track_links {
-                self.account_links(src, dst, payload);
+                self.account_links(self.rt.walk_from(src_at.0, src_at.1, dst_at.0), payload);
             }
-            let head = start + self.params.oneway_header(self.rt.hops(src, dst));
+            let hops = self.rt.shape().torus_distance(src_at.0, dst_at.0);
+            let head = start + self.params.oneway_header(hops);
             if let Some(op) = op {
                 self.flight
                     .segment(op, SegCategory::Wire, "net.header", start, head);
@@ -639,31 +644,50 @@ impl NetState {
     /// (waiting for the link to drain), the payload then occupies every link
     /// on the path for its serialization time. Returns the *head* arrival
     /// time, or `Err(drop time)` when the fault layer lost the message; the
-    /// caller adds the payload serialization on success.
+    /// caller adds the payload serialization on success. Endpoints come as
+    /// (host coordinate, node index), resolved once per message.
     fn deliver_contended_head(
         &mut self,
         inject: SimTime,
-        src: usize,
-        dst: usize,
+        (src, src_node): (Coord, u32),
+        (dst, dst_node): (Coord, u32),
         payload: usize,
         op: Option<OpId>,
     ) -> Result<SimTime, SimTime> {
-        let src_node = self.rt.node_of(src);
-        let dst_node = self.rt.node_of(dst);
-        let (off, len) = if let Some(f) = self.faults.as_deref() {
-            match self
-                .rt
-                .route_span_live(src_node, dst_node, f.epoch, |l| f.routable[l.0 as usize])
-            {
-                Some(span) => span,
-                None => {
-                    self.faults.as_deref_mut().unwrap().drops_unroutable += 1;
-                    return Err(inject);
-                }
-            }
-        } else {
-            self.rt.route_span(src_node, dst_node)
+        let Some(f) = self.faults.as_deref() else {
+            let mut walk = self.rt.walk_from(src, src_node, dst);
+            return self.reserve_route(inject, payload, op, |_| walk.next());
         };
+        let Some((off, len)) = self
+            .rt
+            .route_span_live(src_node, dst_node, f.epoch, |l| f.routable[l.0 as usize])
+        else {
+            self.faults.as_deref_mut().unwrap().drops_unroutable += 1;
+            return Err(inject);
+        };
+        if let Some(t) = &self.tl {
+            // A live route longer than the fault-free dimension-ordered one
+            // means the message detoured around a lost link.
+            if u32::from(len) > self.rt.shape().torus_distance(src, dst) {
+                t.tl.add(t.detours, inject, 1);
+            }
+        }
+        let mut span = off..off + u32::from(len);
+        self.reserve_route(inject, payload, op, |rt| span.next().map(|i| rt.link_at(i)))
+    }
+
+    /// The contended path's link-reservation loop, over the links
+    /// `next_link` yields in route order (given the route table, so a live
+    /// span can index its arena). Under a fault plan a physically-down link
+    /// drops the packet before reserving it and a corrupting link drops it
+    /// after.
+    fn reserve_route(
+        &mut self,
+        inject: SimTime,
+        payload: usize,
+        op: Option<OpId>,
+        mut next_link: impl FnMut(&RouteTable) -> Option<LinkId>,
+    ) -> Result<SimTime, SimTime> {
         let check_faults = self.faults.is_some();
         let check_corrupt = self
             .faults
@@ -675,22 +699,12 @@ impl NetState {
         // Copy out the timeline handles (Rc bump, no allocation) so the
         // reservation loop below can mutate `link_busy` freely.
         let tlh = self.tl.as_ref().map(|t| (t.tl.clone(), t.busy, t.wait));
-        if check_faults {
-            if let Some(t) = &self.tl {
-                // A live route longer than the fault-free dimension-ordered
-                // one means the message detoured around a lost link.
-                if u32::from(len) > self.rt.hops(src, dst) {
-                    t.tl.add(t.detours, inject, 1);
-                }
-            }
-        }
         let mut t = inject + self.params.base_latency;
         if let (Some(op), true) = (op, record) {
             self.flight
                 .segment(op, SegCategory::Wire, "net.header", inject, t);
         }
-        for i in off..off + u32::from(len) {
-            let link = self.rt.link_at(i);
+        while let Some(link) = next_link(&self.rt) {
             let li = link.0 as usize;
             if check_faults {
                 // A physically-down link on a (stale) route eats the packet
@@ -749,13 +763,11 @@ impl NetState {
     fn analytic_head_faulty(
         &mut self,
         start: SimTime,
-        src: usize,
-        dst: usize,
+        src_node: u32,
+        dst_node: u32,
         payload: usize,
         op: Option<OpId>,
     ) -> Result<SimTime, SimTime> {
-        let src_node = self.rt.node_of(src);
-        let dst_node = self.rt.node_of(dst);
         let f = self.faults.as_deref().unwrap();
         let Some((off, len)) = self
             .rt
@@ -797,14 +809,11 @@ impl NetState {
     }
 
     /// Accumulate per-link occupancy for a message on the analytic path
-    /// (cached-route walk for accounting only; timing stays LogGP).
-    fn account_links(&mut self, src: usize, dst: usize, payload: usize) {
-        let (off, len) = self
-            .rt
-            .route_span(self.rt.node_of(src), self.rt.node_of(dst));
+    /// (route walk for accounting only; timing stays LogGP).
+    fn account_links(&mut self, walk: RouteWalk, payload: usize) {
         let add = self.params.hop_latency + self.params.wire_time(payload);
-        for i in off..off + u32::from(len) {
-            let li = self.rt.link_at(i).0 as usize;
+        for link in walk {
+            let li = link.0 as usize;
             self.link_util[li] += add;
             self.link_touched[li] = true;
         }
@@ -1109,13 +1118,7 @@ mod tests {
         let mut n = net(true);
         let t0 = SimTime::ZERO;
         // Find the first link of 0 -> 9's route, then kill it for a window.
-        let first = {
-            let sn = n.rt.node_of(0);
-            let dn = n.rt.node_of(9);
-            let (off, len) = n.rt.route_span(sn, dn);
-            assert!(len > 0);
-            n.rt.link_at(off)
-        };
+        let first = n.rt.walk(n.rt.node_of(0), n.rt.node_of(9)).next().unwrap();
         let down = t0 + SimDuration::from_us(100);
         let up = t0 + SimDuration::from_us(900);
         let delay = SimDuration::from_us(50);
@@ -1164,12 +1167,7 @@ mod tests {
         use desim::FaultPlan;
         let mut n = net(true);
         let t0 = SimTime::ZERO;
-        let first = {
-            let sn = n.rt.node_of(0);
-            let dn = n.rt.node_of(9);
-            let (off, _) = n.rt.route_span(sn, dn);
-            n.rt.link_at(off)
-        };
+        let first = n.rt.walk(n.rt.node_of(0), n.rt.node_of(9)).next().unwrap();
         let down = t0 + SimDuration::from_us(10);
         let up = t0 + SimDuration::from_us(500);
         n.install_faults(
@@ -1240,17 +1238,23 @@ mod tests {
     }
 
     #[test]
-    fn route_cache_warms_once_per_pair() {
-        let mut n = net(true);
-        let t0 = SimTime::ZERO;
-        n.deliver(t0, 0, 9, 64, MsgClass::Ordered);
-        let cached = n.route_table().routes_cached();
-        let arena = n.route_table().arena_len();
-        assert!(cached >= 1);
-        for i in 0..100u64 {
-            n.deliver(t0 + SimDuration::from_ns(i), 0, 9, 64, MsgClass::Ordered);
+    fn fault_free_delivery_caches_nothing() {
+        for contention in [false, true] {
+            let mut n = net(contention);
+            n.set_link_tracking(true);
+            for i in 0..100u64 {
+                let dst = 1 + i as usize % 63;
+                n.deliver(
+                    SimTime::ZERO + SimDuration::from_ns(i),
+                    0,
+                    dst,
+                    64,
+                    MsgClass::Ordered,
+                );
+            }
+            assert!(!n.link_utilization().is_empty(), "routes were walked");
+            assert_eq!(n.route_table().routes_cached(), 0);
+            assert_eq!(n.route_table().arena_len(), 0);
         }
-        assert_eq!(n.route_table().routes_cached(), cached);
-        assert_eq!(n.route_table().arena_len(), arena);
     }
 }

@@ -1,4 +1,4 @@
-//! Interned links and cached dimension-ordered routes.
+//! Interned links and dimension-ordered routes walked on the fly.
 //!
 //! Deterministic dimension-ordered routing makes a route a pure function of
 //! its `(source node, destination node)` pair — the exact property the
@@ -11,26 +11,27 @@
 //!   Ascending `LinkId` order equals the lexicographic [`Link`] order
 //!   (node indices are the lexicographic linearization of coordinates), so
 //!   sorted views come for free.
-//! * **Route arena** — the first message between a node pair computes its
-//!   route once (via [`crate::routing::route_with`], so it is exact by
-//!   construction) and appends it to a shared arena; every later message
-//!   walks the cached `LinkId` slice with zero allocations.
+//! * **[`RouteWalk`]** — the fault-free route is recomputed per message by
+//!   stride arithmetic: a `Copy` iterator that steps A→E exactly like
+//!   [`crate::routing::route`] and moves the current node index by
+//!   ±stride per hop. No hashing, no allocation, no per-pair memory.
+//! * **Live route cache** — only an installed fault plan needs memory:
+//!   detours around lost links come from [`route_avoiding`], so
+//!   [`RouteTable::route_span_live`] caches them per node pair (in a
+//!   compact [`FxMap64`] plus a shared `LinkId` arena) and re-validates a
+//!   span lazily whenever the liveness epoch moves.
 //! * **On-demand rank mapping** — rank → (coordinate, node index) is pure
-//!   mapping arithmetic, computed per call. A precomputed rank table (and a
-//!   dense node² span table) would cost O(p) (and O(nodes²)) bytes up
-//!   front; at the million-rank partitions `fig_scale` targets, every
-//!   per-rank structure must instead cost O(touched). Route spans live in a
-//!   compact [`FxMap64`] keyed by the packed node pair, so only pairs that
-//!   actually exchange traffic occupy memory.
+//!   mapping arithmetic, computed per call, so every per-rank structure
+//!   costs O(touched) at the million-rank partitions `fig_scale` targets.
 
-use crate::coords::Coord;
+use crate::coords::{wrap_delta, Coord};
 use crate::fxmap::FxMap64;
-use crate::routing::{route_avoiding, route_with, Link};
+use crate::routing::{route_avoiding, Link};
 use crate::shape::TorusShape;
 use crate::{Mapping, Topology};
 use desim::memprof::{self, MemTag};
 
-/// Span map and link arena of the route cache.
+/// Span map and link arena of the live (fault-plan) route cache.
 static ROUTES_TAG: MemTag = MemTag::new("torus5d.routes");
 
 /// Links per node: 5 dimensions × 2 directions.
@@ -43,33 +44,17 @@ const LINKS_PER_NODE: u32 = 10;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub u32);
 
-/// Sentinel offset marking a route span not yet cached.
-const UNCACHED: u32 = u32::MAX;
-
 /// Sentinel offset marking a node pair the degraded walker could not
 /// connect at its epoch (destination cut off by dead links).
-const NO_ROUTE: u32 = u32::MAX - 1;
+const NO_ROUTE: u32 = u32::MAX;
 
-/// One cached route span: arena offset, hop count and the liveness epoch it
-/// was last validated at. The `Default` value is the "never cached" state,
-/// so [`FxMap64`] lookups of untouched pairs need no separate sentinel.
-#[derive(Debug, Clone, Copy)]
+/// One live-cache span: arena offset, hop count and the liveness epoch it
+/// was last validated at.
+#[derive(Debug, Clone, Copy, Default)]
 struct SpanSlot {
     off: u32,
     len: u16,
-    /// Only consulted by [`RouteTable::route_span_live`]; the fault-free
-    /// [`RouteTable::route_span`] never looks at it.
     epoch: u32,
-}
-
-impl Default for SpanSlot {
-    fn default() -> Self {
-        SpanSlot {
-            off: UNCACHED,
-            len: 0,
-            epoch: 0,
-        }
-    }
 }
 
 /// Pack a `(src node, dst node)` pair into one span-map key.
@@ -78,8 +63,53 @@ fn span_key(src_node: u32, dst_node: u32) -> u64 {
     (u64::from(src_node) << 32) | u64::from(dst_node)
 }
 
-/// Per-partition routing acceleration: link interning and the lazily filled
-/// route arena. See the module docs.
+/// The fault-free dimension-ordered route between two nodes, stepped on the
+/// fly ([`RouteTable::walk`]). Yields exactly the links
+/// [`crate::routing::route`] returns, in the same order: dimensions
+/// A→E, the shorter wrap direction in each, ties going `+`.
+#[derive(Debug, Clone, Copy)]
+pub struct RouteWalk {
+    /// Node index the next link leaves from.
+    node: u32,
+    /// Dimension being corrected; 5 once the walk is done.
+    dim: usize,
+    /// Hops still to take along each dimension, and their direction.
+    left: [u16; 5],
+    plus: [bool; 5],
+    /// Current coordinate along each dimension (locates the wrap hop).
+    pos: [u16; 5],
+    dims: [u16; 5],
+    strides: [u32; 5],
+}
+
+impl Iterator for RouteWalk {
+    type Item = LinkId;
+
+    #[inline]
+    fn next(&mut self) -> Option<LinkId> {
+        while *self.left.get(self.dim)? == 0 {
+            self.dim += 1;
+        }
+        let d = self.dim;
+        let plus = self.plus[d];
+        let id = LinkId(self.node * LINKS_PER_NODE + d as u32 * 2 + u32::from(plus));
+        self.left[d] -= 1;
+        let (pos, last) = (self.pos[d], self.dims[d] - 1);
+        let next = match (plus, pos) {
+            (true, p) if p == last => 0,
+            (true, p) => p + 1,
+            (false, 0) => last,
+            (false, p) => p - 1,
+        };
+        self.pos[d] = next;
+        self.node =
+            self.node - u32::from(pos) * self.strides[d] + u32::from(next) * self.strides[d];
+        Some(id)
+    }
+}
+
+/// Per-partition routing acceleration: link interning, the route walk and
+/// the lazily filled live route cache. See the module docs.
 pub struct RouteTable {
     shape: TorusShape,
     nodes: u32,
@@ -88,21 +118,19 @@ pub struct RouteTable {
     procs_per_node: usize,
     /// Total process slots of the partition (`nodes * procs_per_node`).
     capacity: usize,
-    /// Packed (src node, dst node) → cached span. Compact: only pairs that
-    /// exchanged traffic occupy a slot, so idle partitions cost zero and a
-    /// million-rank all-to-all among k active ranks costs O(k²), never
-    /// O(nodes²).
+    /// Packed (src node, dst node) → live span. Only pairs that exchanged
+    /// traffic under a fault plan occupy a slot.
     spans: FxMap64<SpanSlot>,
-    /// Shared arena of cached routes, stored back-to-back.
+    /// Shared arena of live-cache routes, stored back-to-back.
     arena: Vec<LinkId>,
-    /// Number of distinct node pairs whose route has been cached.
+    /// Number of live-cache spans appended so far.
     routes_cached: u64,
 }
 
 impl RouteTable {
     /// Build the table for a topology. Construction is O(1) in the partition
-    /// size: rank coordinates are computed on demand and routes fill in
-    /// lazily as traffic touches node pairs.
+    /// size: rank coordinates and fault-free routes are computed on demand,
+    /// and the live cache fills in lazily under a fault plan.
     pub fn new(topo: &Topology) -> RouteTable {
         let shape = topo.shape;
         RouteTable {
@@ -148,7 +176,15 @@ impl RouteTable {
     /// Node index of the node hosting `rank` (mapping arithmetic).
     #[inline]
     pub fn node_of(&self, rank: usize) -> u32 {
-        self.shape.node_index(self.coord_of(rank)) as u32
+        self.locate(rank).1
+    }
+
+    /// Coordinate and node index of the node hosting `rank`, from one
+    /// mapping evaluation.
+    #[inline]
+    pub(crate) fn locate(&self, rank: usize) -> (Coord, u32) {
+        let c = self.coord_of(rank);
+        (c, self.shape.node_index(c) as u32)
     }
 
     /// True when both ranks live on the same node.
@@ -183,28 +219,46 @@ impl RouteTable {
         }
     }
 
-    /// The cached route between two *node indices* as an `(arena offset,
-    /// hop count)` span, computing and caching it on first use. Index the
-    /// links with [`RouteTable::link_at`]; the span stays valid for the
-    /// lifetime of the table (the arena only grows).
-    #[inline]
-    pub fn route_span(&mut self, src_node: u32, dst_node: u32) -> (u32, u16) {
-        let key = span_key(src_node, dst_node);
-        let slot = self.spans.get(key).unwrap_or_default();
-        if slot.off != UNCACHED {
-            debug_assert_ne!(slot.off, NO_ROUTE, "fault-free lookups never see NO_ROUTE");
-            return (slot.off, slot.len);
-        }
-        self.fill_route(key, src_node, dst_node)
+    /// The fault-free route between two *node indices*, walked on the fly.
+    pub fn walk(&self, src_node: u32, dst_node: u32) -> RouteWalk {
+        let src = self.shape.node_coord(src_node as usize);
+        self.walk_from(src, src_node, self.shape.node_coord(dst_node as usize))
     }
 
-    /// Liveness-aware variant of [`RouteTable::route_span`]: the cached span
-    /// for the pair, valid **at liveness epoch `epoch`** given the per-link
-    /// predicate `live`. A span cached at an older epoch is recomputed with
-    /// [`route_avoiding`]; if the fresh walk matches the cached links the
-    /// span is merely re-stamped (no arena growth — the common case once
-    /// routes settle after a failure), otherwise the detour is appended as a
-    /// new span. Returns `None` when the pair is unreachable at this epoch.
+    /// [`RouteTable::walk`] from an already-resolved source (coordinate and
+    /// node index) to the destination coordinate.
+    #[inline]
+    pub(crate) fn walk_from(&self, src: Coord, src_node: u32, dst: Coord) -> RouteWalk {
+        let dims = self.shape.dims();
+        let mut walk = RouteWalk {
+            node: src_node,
+            dim: 0,
+            left: [0; 5],
+            plus: [true; 5],
+            pos: src.0,
+            dims,
+            strides: [1; 5],
+        };
+        for d in (0..4).rev() {
+            walk.strides[d] = walk.strides[d + 1] * u32::from(dims[d + 1]);
+        }
+        for (d, &size) in dims.iter().enumerate() {
+            let delta = wrap_delta(src.get(d), dst.get(d), size);
+            walk.left[d] = delta.unsigned_abs() as u16;
+            walk.plus[d] = delta >= 0;
+        }
+        walk
+    }
+
+    /// The route between two node indices **at liveness epoch `epoch`**,
+    /// given the per-link predicate `live`, as an `(arena offset, hop
+    /// count)` span (index it with [`RouteTable::link_at`]). A span cached
+    /// at an older epoch is recomputed with [`route_avoiding`]; if the fresh
+    /// walk matches the cached links the span is merely re-stamped (no
+    /// arena growth — the common case once routes settle after a failure),
+    /// otherwise the detour is appended as a new span. Returns `None` when
+    /// the pair is unreachable at this epoch. With every link live the span
+    /// holds exactly the [`RouteTable::walk`] links.
     #[inline]
     pub fn route_span_live<F: Fn(LinkId) -> bool>(
         &mut self,
@@ -214,68 +268,36 @@ impl RouteTable {
         live: F,
     ) -> Option<(u32, u16)> {
         let key = span_key(src_node, dst_node);
-        let slot = self.spans.get(key).unwrap_or_default();
-        if slot.off != UNCACHED && slot.epoch == epoch {
-            return if slot.off == NO_ROUTE {
-                None
-            } else {
-                Some((slot.off, slot.len))
-            };
+        match self.spans.get(key) {
+            Some(slot) if slot.epoch == epoch => {
+                (slot.off != NO_ROUTE).then_some((slot.off, slot.len))
+            }
+            old => self.fill_route_live(key, old, src_node, dst_node, epoch, live),
         }
-        self.fill_route_live(key, src_node, dst_node, epoch, live)
     }
 
-    /// The cached route between two node indices as a [`LinkId`] slice.
-    pub fn route_ids(&mut self, src_node: u32, dst_node: u32) -> &[LinkId] {
-        let (off, len) = self.route_span(src_node, dst_node);
-        &self.arena[off as usize..off as usize + len as usize]
-    }
-
-    /// One link of the arena (index comes from [`RouteTable::route_span`]).
+    /// One link of the live-cache arena (index comes from
+    /// [`RouteTable::route_span_live`]).
     #[inline]
     pub fn link_at(&self, arena_idx: u32) -> LinkId {
         self.arena[arena_idx as usize]
     }
 
-    /// Number of distinct node-pair routes cached so far.
+    /// Number of live-cache spans appended so far (0 without a fault plan).
     pub fn routes_cached(&self) -> u64 {
         self.routes_cached
     }
 
-    /// Total links stored in the shared route arena.
+    /// Total links stored in the live-cache arena (0 without a fault plan).
     pub fn arena_len(&self) -> usize {
         self.arena.len()
-    }
-
-    #[cold]
-    fn fill_route(&mut self, key: u64, src_node: u32, dst_node: u32) -> (u32, u16) {
-        let _mem = memprof::scope(&ROUTES_TAG);
-        let off = self.arena.len() as u32;
-        let src = self.shape.node_coord(src_node as usize);
-        let dst = self.shape.node_coord(dst_node as usize);
-        let shape = self.shape;
-        let arena = &mut self.arena;
-        route_with(&shape, src, dst, |link| {
-            let node = shape.node_index(link.from) as u32;
-            arena.push(LinkId(
-                node * LINKS_PER_NODE + u32::from(link.dim) * 2 + u32::from(link.plus),
-            ));
-        });
-        let len = (self.arena.len() as u32 - off) as u16;
-        debug_assert_eq!(
-            u32::from(len),
-            self.shape.torus_distance(src, dst),
-            "cached route length must equal the torus distance"
-        );
-        self.spans.insert(key, SpanSlot { off, len, epoch: 0 });
-        self.routes_cached += 1;
-        (off, len)
     }
 
     #[cold]
     fn fill_route_live<F: Fn(LinkId) -> bool>(
         &mut self,
         key: u64,
+        old: Option<SpanSlot>,
         src_node: u32,
         dst_node: u32,
         epoch: u32,
@@ -285,25 +307,17 @@ impl RouteTable {
         let shape = self.shape;
         let src = shape.node_coord(src_node as usize);
         let dst = shape.node_coord(dst_node as usize);
-        let fresh = route_avoiding(&shape, src, dst, |l| {
-            let node = shape.node_index(l.from) as u32;
-            live(LinkId(
-                node * LINKS_PER_NODE + u32::from(l.dim) * 2 + u32::from(l.plus),
-            ))
-        });
-        let old = self.spans.get(key).unwrap_or_default();
+        let fresh = route_avoiding(&shape, src, dst, |l| live(self.link_id(l)));
         let Some(links) = fresh else {
-            self.spans.insert(
-                key,
-                SpanSlot {
-                    off: NO_ROUTE,
-                    len: 0,
-                    epoch,
-                },
-            );
+            let unroutable = SpanSlot {
+                off: NO_ROUTE,
+                len: 0,
+                epoch,
+            };
+            self.spans.insert(key, unroutable);
             return None;
         };
-        if old.off != UNCACHED && old.off != NO_ROUTE {
+        if let Some(old) = old.filter(|o| o.off != NO_ROUTE) {
             // Re-validate: if the degraded walk reproduces the cached links
             // exactly, keep the old span (the cache stays *exact* without
             // duplicating arena storage on every epoch bump).
@@ -391,27 +405,21 @@ mod tests {
     }
 
     #[test]
-    fn cached_routes_match_fresh_routes() {
-        let (topo, mut rt) = table(64, 1);
+    fn walked_routes_match_fresh_routes() {
+        let (topo, rt) = table(64, 1);
         let shape = topo.shape;
         for a in 0..shape.num_nodes() as u32 {
             for b in 0..shape.num_nodes() as u32 {
-                let cached: Vec<Link> = rt
-                    .route_ids(a, b)
-                    .to_vec()
-                    .into_iter()
-                    .map(|id| rt.link_of(id))
-                    .collect();
+                let walked: Vec<Link> = rt.walk(a, b).map(|id| rt.link_of(id)).collect();
                 let fresh = route(
                     &shape,
                     shape.node_coord(a as usize),
                     shape.node_coord(b as usize),
                 );
-                assert_eq!(cached, fresh, "route {a}->{b}");
+                assert_eq!(walked, fresh, "route {a}->{b}");
             }
         }
-        let n = shape.num_nodes() as u64;
-        assert_eq!(rt.routes_cached(), n * n);
+        assert_eq!(rt.routes_cached(), 0, "walking caches nothing");
     }
 
     #[test]
@@ -419,9 +427,11 @@ mod tests {
         let (_, mut rt) = table(64, 1);
         let all_live = |_: LinkId| true;
         let span0 = rt.route_span_live(0, 9, 0, all_live).unwrap();
+        let (off, len) = span0;
+        let links: Vec<LinkId> = (off..off + u32::from(len)).map(|i| rt.link_at(i)).collect();
         assert_eq!(
-            span0,
-            rt.route_span(0, 9),
+            links,
+            rt.walk(0, 9).collect::<Vec<_>>(),
             "all-live walk is the exact route"
         );
         let arena = rt.arena_len();
@@ -478,19 +488,5 @@ mod tests {
         );
         // Next epoch with links back: route again.
         assert!(rt.route_span_live(src_node, 3, 6, |_| true).is_some());
-    }
-
-    #[test]
-    fn route_cache_is_lazy_and_stable() {
-        let (_, mut rt) = table(32, 1);
-        assert_eq!(rt.routes_cached(), 0);
-        assert_eq!(rt.arena_len(), 0);
-        let first = rt.route_span(0, 7);
-        let len_after = rt.arena_len();
-        // Second lookup: cache hit, no arena growth.
-        assert_eq!(rt.route_span(0, 7), first);
-        assert_eq!(rt.arena_len(), len_after);
-        // Self-route caches an empty span.
-        assert_eq!(rt.route_span(5, 5).1, 0);
     }
 }

@@ -21,25 +21,18 @@ pub struct Link {
 }
 
 /// Compute the dimension-ordered route between two nodes as the sequence of
-/// links traversed. An empty route means the nodes are identical.
+/// links traversed. An empty route means the nodes are identical. This is
+/// the reference the on-the-fly [`crate::route_table::RouteWalk`] is
+/// tested against.
 pub fn route(shape: &TorusShape, src: Coord, dst: Coord) -> Vec<Link> {
     let mut links = Vec::new();
-    route_with(shape, src, dst, |l| links.push(l));
-    links
-}
-
-/// Walk the dimension-ordered route from `src` to `dst`, invoking `visit`
-/// for every link in traversal order without materializing a `Vec`. This is
-/// the single source of truth for routing; [`route`] and the cached
-/// [`crate::route_table::RouteTable`] arena are both built on it.
-pub fn route_with<F: FnMut(Link)>(shape: &TorusShape, src: Coord, dst: Coord, mut visit: F) {
     let mut cur = src;
     for dim in 0..5u8 {
         let size = shape.dim(dim as usize);
         let delta = wrap_delta(cur.get(dim as usize), dst.get(dim as usize), size);
         let plus = delta >= 0;
         for _ in 0..delta.unsigned_abs() {
-            visit(Link {
+            links.push(Link {
                 from: cur,
                 dim,
                 plus,
@@ -54,6 +47,7 @@ pub fn route_with<F: FnMut(Link)>(shape: &TorusShape, src: Coord, dst: Coord, mu
         }
     }
     debug_assert_eq!(cur, dst, "route must terminate at destination");
+    links
 }
 
 /// Hop count of the dimension-ordered route (equals the torus distance,
@@ -74,7 +68,7 @@ pub fn hops(shape: &TorusShape, src: Coord, dst: Coord) -> u32 {
 /// live candidate — refusing to immediately re-traverse the link it just
 /// arrived on unless that is the only live option. **With every link live
 /// the first candidate always wins, so the result is exactly the
-/// dimension-ordered [`route_with`] walk** — the property the route cache
+/// dimension-ordered [`route`]** — the property the live route cache
 /// relies on to re-validate cached spans instead of duplicating them.
 pub fn route_avoiding<F: Fn(Link) -> bool>(
     shape: &TorusShape,

@@ -1,6 +1,6 @@
 //! Proof that message delivery is allocation-free once warm: the tracking
 //! allocator from `desim::memprof` is installed as the global allocator,
-//! the delivery state is warmed (route arena + pair map populated), and a
+//! the delivery state is warmed (pair and injection maps populated), and a
 //! second batch of deliveries must not allocate at all —
 //! [`desim::memprof::total_allocs`] counts every `alloc`/`alloc_zeroed`/
 //! `realloc` process-wide, exactly like the private counting allocator this
@@ -50,27 +50,14 @@ fn deliver_is_allocation_free_once_routes_are_warm() {
     let mut net = NetState::new(topo, BgqParams::default(), true);
     let sched = schedule(procs, 30_000, 0xA110_C8EE);
 
-    // Warm pass: populates the route arena, the span table and every pair
-    // slot in the ordering map (allocations expected and allowed here).
+    // Warm pass: populates every pair slot in the ordering map and every
+    // sender's injection front (allocations expected and allowed here).
+    let m = memprof::mark();
     let mut inject = SimTime::ZERO;
     for &(src, dst, payload, class) in &sched {
         inject += SimDuration::from_ns(100);
         net.deliver(inject, src, dst, payload, class);
     }
-    let routes_warm = net.route_table().routes_cached();
-    let arena_warm = net.route_table().arena_len();
-
-    // The warm pass must have charged the network tags, not `untagged` —
-    // the scope wiring in `NetState`/`RouteTable` is live.
-    let global = memprof::global_snapshot();
-    assert!(
-        global.get("torus5d.links").is_some_and(|t| t.allocs > 0),
-        "link state allocations must carry the torus5d.links tag"
-    );
-    assert!(
-        global.get("torus5d.routes").is_some_and(|t| t.allocs > 0),
-        "route arena allocations must carry the torus5d.routes tag"
-    );
 
     // Hot pass: same pairs again — zero heap activity allowed.
     let before = memprof::total_allocs();
@@ -85,10 +72,52 @@ fn deliver_is_allocation_free_once_routes_are_warm() {
         "deliveries over warm routes must not allocate"
     );
 
-    // And the warm pass really did all the cache work: nothing new appeared.
-    assert_eq!(net.route_table().routes_cached(), routes_warm);
-    assert_eq!(net.route_table().arena_len(), arena_warm);
+    // Fault-free routes are walked, never cached: neither pass touched the
+    // route cache, cold or warm.
+    let fault_free = memprof::since(&m);
+    assert!(
+        fault_free
+            .get("torus5d.routes")
+            .is_none_or(|t| t.allocs == 0),
+        "fault-free deliveries must not allocate route-cache memory"
+    );
+    assert_eq!(net.route_table().routes_cached(), 0);
+    assert_eq!(net.route_table().arena_len(), 0);
     assert_eq!(net.messages(), 2 * sched.len() as u64);
+
+    // Tag wiring: link state is charged to `torus5d.links`, and under a
+    // fault plan that drops a route the live route cache allocates under
+    // `torus5d.routes` — not `untagged`.
+    assert!(
+        memprof::global_snapshot()
+            .get("torus5d.links")
+            .is_some_and(|t| t.allocs > 0),
+        "link state allocations must carry the torus5d.links tag"
+    );
+    let mut lnet = NetState::new(Topology::for_procs(procs, 16), BgqParams::default(), true);
+    let lost = lnet
+        .route_table()
+        .walk(0, lnet.route_table().node_of(sched[0].1))
+        .next()
+        .unwrap();
+    let (down, up) = (SimTime::ZERO, SimTime::ZERO + SimDuration::from_ms(1));
+    lnet.install_faults(desim::FaultPlan::new(42).link_down(lost.0, down, up));
+    let m = memprof::mark();
+    let mut inject = SimTime::ZERO;
+    for &(src, dst, payload, class) in &sched {
+        inject += SimDuration::from_ns(100);
+        lnet.try_deliver_op(inject, src, dst, payload, class, None);
+    }
+    assert!(
+        memprof::since(&m)
+            .get("torus5d.routes")
+            .is_some_and(|t| t.allocs > 0),
+        "live route cache allocations must carry the torus5d.routes tag"
+    );
+    assert!(lnet.route_table().routes_cached() > 0);
+    assert!(lnet
+        .fault_counters(inject)
+        .is_some_and(|c| c.link_down_events == 1 && c.drops() > 0));
 
     // Same contract with an *empty* fault plan installed: the fault-gating
     // branches on the delivery path must stay allocation-free too. (Kept in

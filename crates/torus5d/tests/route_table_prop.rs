@@ -1,11 +1,12 @@
-//! Property tests for `RouteTable`: cached routes must be *identical* to
-//! freshly computed `route()` output, and `LinkId` interning must be a
-//! bijection — across randomized shapes and rank pairs (seeded `SimRng`, so
-//! failures reproduce deterministically; no external property-test dep).
+//! Property tests for `RouteTable`: walked routes (and all-live spans of the
+//! live route cache) must be *identical* to freshly computed `route()`
+//! output, and `LinkId` interning must be a bijection — across randomized
+//! shapes and rank pairs (seeded `SimRng`, so failures reproduce
+//! deterministically; no external property-test dep).
 
 use desim::SimRng;
 use torus5d::routing::route;
-use torus5d::{Coord, LinkId, Mapping, RouteTable, Topology, TorusShape};
+use torus5d::{Coord, Link, LinkId, Mapping, RouteTable, Topology, TorusShape};
 
 /// Random shapes mixing the standard partition tables with hand-picked
 /// degenerate ones (size-1 dims, even dims with wrap ties, long thin dims).
@@ -41,8 +42,21 @@ fn topo(shape: TorusShape, ppn: usize) -> Topology {
     }
 }
 
+/// The walk's links, decoded.
+fn walked(rt: &RouteTable, a: u32, b: u32) -> Vec<Link> {
+    rt.walk(a, b).map(|id| rt.link_of(id)).collect()
+}
+
+/// The live cache's links with every link live, decoded.
+fn live(rt: &mut RouteTable, a: u32, b: u32) -> Vec<Link> {
+    let (off, len) = rt.route_span_live(a, b, 0, |_| true).unwrap();
+    (off..off + u32::from(len))
+        .map(|i| rt.link_of(rt.link_at(i)))
+        .collect()
+}
+
 #[test]
-fn cached_routes_equal_fresh_routes_on_random_pairs() {
+fn walked_routes_equal_fresh_routes_on_random_pairs() {
     let mut rng = SimRng::new(0x5EED_0001);
     for shape in random_shapes(&mut rng.derive(0)) {
         let ppn = 1 + rng.next_below(16) as usize;
@@ -63,29 +77,20 @@ fn cached_routes_equal_fresh_routes_on_random_pairs() {
                 shape.node_coord(a as usize),
                 shape.node_coord(b as usize),
             );
-            let cached: Vec<_> = rt
-                .route_ids(a, b)
-                .to_vec()
-                .into_iter()
-                .map(|id| rt.link_of(id))
-                .collect();
-            assert_eq!(cached, fresh, "shape {shape} route {a}->{b}");
-            // Cached again: identical (stability).
-            let again: Vec<_> = rt
-                .route_ids(a, b)
-                .to_vec()
-                .into_iter()
-                .map(|id| rt.link_of(id))
-                .collect();
-            assert_eq!(again, fresh);
+            assert_eq!(walked(&rt, a, b), fresh, "shape {shape} route {a}->{b}");
+            // With every link live the live cache holds exactly the walk,
+            // on a miss and on a hit.
+            assert_eq!(live(&mut rt, a, b), fresh, "shape {shape} live {a}->{b}");
+            assert_eq!(live(&mut rt, a, b), fresh);
         }
     }
 }
 
 #[test]
-fn wrap_ties_resolve_identically_in_cache_and_fresh() {
+fn wrap_ties_resolve_identically_in_walk_and_fresh() {
     // Even-sized dims: distance n/2 ties between the two wrap directions
-    // and must resolve to `plus` in both the fresh and the cached route.
+    // and must resolve to `plus` in the fresh route, the walk and the live
+    // cache alike.
     let shape = TorusShape::new([4, 4, 4, 4, 2]);
     let t = topo(shape, 1);
     let mut rt = RouteTable::new(&t);
@@ -103,13 +108,16 @@ fn wrap_ties_resolve_identically_in_cache_and_fresh() {
         let b = shape.node_index(cb);
         let fresh = route(&shape, ca, cb);
         assert!(fresh.iter().all(|l| l.plus), "ties must resolve positive");
-        let cached: Vec<_> = rt
-            .route_ids(a as u32, b as u32)
-            .to_vec()
-            .into_iter()
-            .map(|id| rt.link_of(id))
-            .collect();
-        assert_eq!(cached, fresh, "antipodal route {a}->{b}");
+        assert_eq!(
+            walked(&rt, a as u32, b as u32),
+            fresh,
+            "antipodal route {a}->{b}"
+        );
+        assert_eq!(
+            live(&mut rt, a as u32, b as u32),
+            fresh,
+            "antipodal live {a}->{b}"
+        );
     }
 }
 
