@@ -172,11 +172,11 @@ pub struct Armci {
 }
 
 impl Armci {
-    /// Initialize ARMCI over `machine`. Per-rank setup — region-query
-    /// active messages, notification cells, async-progress arming — is
-    /// deferred to the machine's rank-init hook, so it runs only for ranks
-    /// the program actually touches; initialization itself is O(1) in
-    /// `nprocs`.
+    /// Initialize ARMCI over `machine`. The active-message handlers are
+    /// registered once, machine-wide; per-rank setup — notification cells,
+    /// async-progress arming — is deferred to the machine's rank-init hook,
+    /// so it runs only for ranks the program actually touches.
+    /// Initialization itself is O(1) in `nprocs`.
     pub fn new(machine: Machine, cfg: ArmciConfig) -> Armci {
         let _mem = memprof::scope(&HANDLES_TAG);
         let inner = Rc::new(ArmciInner {
@@ -335,10 +335,10 @@ impl Armci {
 }
 
 /// Bring up one rank's ARMCI state: runtime struct, notification cells,
-/// region-query dispatch, async-progress arming. Runs as the machine's
-/// rank-init hook the moment the rank's PAMI state materializes — the rank's
-/// notification cells are its very first allocation, exactly as they were
-/// when initialization looped over every rank eagerly.
+/// async-progress arming. Runs as the machine's rank-init hook the moment
+/// the rank's PAMI state materializes — the rank's notification cells are
+/// its very first allocation, exactly as they were when initialization
+/// looped over every rank eagerly.
 fn init_rank(weak: &Weak<ArmciInner>, pr: PamiRank) {
     let Some(inner) = weak.upgrade() else { return };
     if inner.ranks.borrow().contains_key(&pr.id()) {
@@ -350,18 +350,64 @@ fn init_rank(weak: &Weak<ArmciInner>, pr: PamiRank) {
     // Notification cells: one i64 per peer (offsets only — the backing
     // memory grows on first write).
     rt.notify_off.set(pr.alloc(inner.machine.nprocs() * 8));
-    let target_ctx = inner.machine.target_ctx();
-    install_dispatch(&pr, target_ctx, weak);
     if inner.cfg.progress == ProgressMode::AsyncThread {
-        pr.enable_async_progress(target_ctx);
+        pr.enable_async_progress(inner.machine.target_ctx());
     }
 }
 
-/// Install the runtime's machine-global AM handlers (the `send_am` /
-/// aggregation surface). Unlike the per-rank region-query dispatch these
-/// carry no per-rank state beyond what `ArmciInner` already tracks, so one
-/// machine-wide table entry serves every destination.
+/// Install the runtime's machine-global AM handlers. None of them carries
+/// per-rank state beyond what `ArmciInner` already tracks (each resolves its
+/// destination rank from the envelope), so one machine-wide table entry
+/// serves every destination and no handler holds the machine alive.
 fn install_am_handlers(machine: &Machine, weak: &Weak<ArmciInner>) {
+    // REGION_QUERY: header = [reply_id u64][off u64][len u64]; the owner looks
+    // up its registered regions and replies with REGION_REPLY.
+    machine.register_am(
+        DISPATCH_REGION_QUERY,
+        Rc::new(move |env, msg| {
+            let reply_id = u64::from_le_bytes(msg.header[0..8].try_into().expect("8"));
+            let off = u64::from_le_bytes(msg.header[8..16].try_into().expect("8")) as usize;
+            let len = u64::from_le_bytes(msg.header[16..24].try_into().expect("8")) as usize;
+            let responder = env.machine.rank(env.rank);
+            let found = responder
+                .find_region(off, len)
+                .map(|id| responder.region_bounds(id));
+            let mut reply = Vec::with_capacity(25);
+            reply.extend_from_slice(&reply_id.to_le_bytes());
+            reply.push(u8::from(found.is_some()));
+            let (roff, rlen) = found.unwrap_or((0, 0));
+            reply.extend_from_slice(&(roff as u64).to_le_bytes());
+            reply.extend_from_slice(&(rlen as u64).to_le_bytes());
+            let src = msg.src;
+            env.machine.sim().spawn(async move {
+                responder
+                    .am_send(src, DISPATCH_REGION_REPLY, reply, Vec::new())
+                    .await;
+            });
+        }),
+    );
+    // REGION_REPLY: complete the pending query at the requester.
+    {
+        let weak = weak.clone();
+        machine.register_am(
+            DISPATCH_REGION_REPLY,
+            Rc::new(move |env, msg| {
+                let Some(inner) = weak.upgrade() else { return };
+                let reply_id = u64::from_le_bytes(msg.header[0..8].try_into().expect("8"));
+                let found = msg.header[8] != 0;
+                let off = u64::from_le_bytes(msg.header[9..17].try_into().expect("8")) as usize;
+                let len = u64::from_le_bytes(msg.header[17..25].try_into().expect("8")) as usize;
+                let pending = inner
+                    .ranks
+                    .borrow()
+                    .get(&env.rank)
+                    .and_then(|rt| rt.pending_replies.borrow_mut().remove(&reply_id));
+                if let Some(c) = pending {
+                    c.complete(found.then_some(RemoteRegion { off, len }));
+                }
+            }),
+        );
+    }
     // NOTIFY_AM: write the sender's notify cell at the destination. The
     // write is monotone-max so a retransmit-delayed older notify can never
     // roll the cell back below a newer one.
@@ -431,63 +477,6 @@ fn install_am_handlers(machine: &Machine, weak: &Weak<ArmciInner>) {
                     .and_then(|rt| rt.pending_pings.borrow_mut().remove(&reply_id));
                 if let Some(c) = pending {
                     c.complete(());
-                }
-            }),
-        );
-    }
-}
-
-/// Install the runtime's active-message handlers on one rank.
-fn install_dispatch(pr: &PamiRank, ctx: usize, weak: &Weak<ArmciInner>) {
-    // REGION_QUERY: header = [reply_id u64][off u64][len u64]; the owner looks
-    // up its registered regions and replies with REGION_REPLY.
-    {
-        let pr_capture = pr.clone();
-        pr.register_dispatch(
-            ctx,
-            DISPATCH_REGION_QUERY,
-            Rc::new(move |env, msg| {
-                let reply_id = u64::from_le_bytes(msg.header[0..8].try_into().expect("8"));
-                let off = u64::from_le_bytes(msg.header[8..16].try_into().expect("8")) as usize;
-                let len = u64::from_le_bytes(msg.header[16..24].try_into().expect("8")) as usize;
-                let found = pr_capture
-                    .find_region(off, len)
-                    .map(|id| pr_capture.region_bounds(id));
-                let mut reply = Vec::with_capacity(25);
-                reply.extend_from_slice(&reply_id.to_le_bytes());
-                reply.push(u8::from(found.is_some()));
-                let (roff, rlen) = found.unwrap_or((0, 0));
-                reply.extend_from_slice(&(roff as u64).to_le_bytes());
-                reply.extend_from_slice(&(rlen as u64).to_le_bytes());
-                let responder = env.machine.rank(env.rank);
-                let src = msg.src;
-                env.machine.sim().spawn(async move {
-                    responder
-                        .am_send(src, DISPATCH_REGION_REPLY, reply, Vec::new())
-                        .await;
-                });
-            }),
-        );
-    }
-    // REGION_REPLY: complete the pending query at the requester.
-    {
-        let weak = weak.clone();
-        pr.register_dispatch(
-            ctx,
-            DISPATCH_REGION_REPLY,
-            Rc::new(move |env, msg| {
-                let Some(inner) = weak.upgrade() else { return };
-                let reply_id = u64::from_le_bytes(msg.header[0..8].try_into().expect("8"));
-                let found = msg.header[8] != 0;
-                let off = u64::from_le_bytes(msg.header[9..17].try_into().expect("8")) as usize;
-                let len = u64::from_le_bytes(msg.header[17..25].try_into().expect("8")) as usize;
-                let pending = inner
-                    .ranks
-                    .borrow()
-                    .get(&env.rank)
-                    .and_then(|rt| rt.pending_replies.borrow_mut().remove(&reply_id));
-                if let Some(c) = pending {
-                    c.complete(found.then_some(RemoteRegion { off, len }));
                 }
             }),
         );

@@ -194,6 +194,10 @@ pub fn run_cell_full(
             aggr_wait_ps,
         }
     });
+    // Parked progress threads hold the machine, and the machine the kernel:
+    // tear down so the cell frees everything it built.
+    a.finalize();
+    sim.shutdown();
     (cell, timeline, crit)
 }
 

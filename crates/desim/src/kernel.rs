@@ -470,11 +470,10 @@ impl Sim {
         F::Output: 'static,
     {
         let done = Completion::new();
-        let done2 = done.clone();
         let _mem = memprof::scope_default(&KERNEL_TAG);
-        let id = self.k.alloc_task(Box::pin(async move {
-            let out = future.await;
-            done2.complete(out);
+        let id = self.k.alloc_task(Box::pin(Task {
+            future: Some(future),
+            done: done.clone(),
         }));
         self.k.enqueue_task(id);
         JoinHandle {
@@ -579,6 +578,37 @@ impl Sim {
         // like a fresh kernel would.
         free.extend((0..len).rev());
         self.k.live_tasks.set(0);
+    }
+}
+
+/// A spawned task as the kernel stores it: `F` polled in place, its output
+/// handed to the [`JoinHandle`]. Written by hand because the equivalent
+/// `async move { done.complete(future.await) }` keeps two copies of `F` in
+/// its state (the captured value and the pinned awaitee), doubling every
+/// task's allocation.
+struct Task<F: Future> {
+    future: Option<F>,
+    done: Completion<F::Output>,
+}
+
+impl<F: Future> Future for Task<F> {
+    type Output = ();
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        // SAFETY: `future` is structurally pinned. `Task` has no `Drop` impl
+        // and is `Unpin` only when `F` is, and this projection is the only
+        // access to the field: `F` is polled in place through `as_pin_mut`
+        // and leaves the `Option` only by being dropped in place through
+        // `Pin::set`, never moved.
+        let mut future = unsafe { self.as_mut().map_unchecked_mut(|t| &mut t.future) };
+        let Some(f) = future.as_mut().as_pin_mut() else {
+            return Poll::Ready(());
+        };
+        let out = std::task::ready!(f.poll(cx));
+        // Drop `F` (and everything it captured) before the join handle
+        // observes the output.
+        future.set(None);
+        self.done.complete(out);
+        Poll::Ready(())
     }
 }
 

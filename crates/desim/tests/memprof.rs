@@ -142,3 +142,22 @@ fn global_snapshot_serializes_and_tracks_this_binary() {
     assert!(j.starts_with("{\"schema\":\"memprof-v1\""));
     assert!(desim::json::parse(&j).is_ok());
 }
+
+#[test]
+fn spawn_charges_the_kernel_one_copy_of_the_future() {
+    memprof::enable();
+    let sim = desim::Sim::new();
+    let state = [7u8; 4096];
+    let m = memprof::mark();
+    let h = sim.spawn(async move { state.iter().map(|&b| u64::from(b)).sum::<u64>() });
+    let kernel = memprof::since(&m)
+        .get("desim.kernel")
+        .expect("spawn allocates under desim.kernel")
+        .live_bytes;
+    assert!(
+        (4096..4096 + 512).contains(&kernel),
+        "a task with 4 KiB of state charged {kernel} B to desim.kernel"
+    );
+    sim.run();
+    assert_eq!(h.try_result(), Some(7 * 4096));
+}

@@ -427,14 +427,32 @@ impl PamiRank {
         class: MsgClass,
         op: Option<OpId>,
     ) -> (SimTime, bool) {
-        let inner = Rc::clone(&self.m.inner);
         if !self.m.faults_active() {
-            let arrival = inner
+            let arrival = self
+                .m
+                .inner
                 .net
                 .borrow_mut()
                 .deliver_op(inject, self.r, target, payload, class, op);
             return (arrival, true);
         }
+        // Boxed: the retry loop's state would otherwise be part of every
+        // operation future that delivers anything, fault plan or not.
+        Box::pin(self.deliver_retrying(inject, target, payload, class, op)).await
+    }
+
+    /// The fault-plan branch of [`PamiRank::deliver_reliable`]: deliver,
+    /// and on a drop wait out the policy's timeout and backoff and
+    /// retransmit.
+    async fn deliver_retrying(
+        &self,
+        inject: SimTime,
+        target: usize,
+        payload: usize,
+        class: MsgClass,
+        op: Option<OpId>,
+    ) -> (SimTime, bool) {
+        let inner = Rc::clone(&self.m.inner);
         let sim = self.m.sim();
         let stats = self.m.stats();
         let policy = self.m.retry_policy();
@@ -1385,7 +1403,9 @@ impl PamiRank {
                 break v;
             }
             if main_ctx.depth() > 0 {
-                self.advance(0, 1).await;
+                // Boxed: the D-mode servicing path is cold for most waits,
+                // and inlining `advance` would size every parked wait for it.
+                Box::pin(self.advance(0, 1)).await;
                 continue;
             }
             match race(done.wait(), main_ctx.arrived.wait()).await {
